@@ -2,6 +2,8 @@
 // crypto, aggregation, and transport round trips (google-benchmark).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+
 #include "core/logging.h"
 #include "core/sha256.h"
 #include "flare/aggregator.h"
@@ -49,6 +51,10 @@ void BM_StateDictDeserialize(benchmark::State& state) {
 }
 BENCHMARK(BM_StateDictDeserialize)->Arg(100000)->Arg(1300000);
 
+// 2,472,082 floats: one BERT-size update, the frame size the channel seals
+// and opens 16 times per round (PAPER.md's BERT setup).
+constexpr std::int64_t kBertBytes = 9888328;
+
 void BM_Sha256(benchmark::State& state) {
   std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(0)), 0xa5);
   for (auto _ : state) {
@@ -57,7 +63,36 @@ void BM_Sha256(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Sha256)->Arg(1024)->Arg(1 << 20);
+BENCHMARK(BM_Sha256)->Arg(1024)->Arg(1 << 20)->Arg(kBertBytes);
+
+// The portable compressor alone, whatever the CPU would dispatch to: the
+// baseline BM_Sha256 is measured against on a SHA-NI host.
+void BM_Sha256Scalar(benchmark::State& state) {
+  std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(0)), 0xa5);
+  for (auto _ : state) {
+    std::uint32_t words[8] = {};
+    core::detail::compress_scalar(words, data.data(), data.size() / 64);
+    benchmark::DoNotOptimize(words[0]);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Sha256Scalar)->Arg(kBertBytes);
+
+void BM_HmacSha256Stream(benchmark::State& state) {
+  const std::vector<std::uint8_t> key(32, 0x7);
+  std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(0)), 0x3c);
+  constexpr std::size_t kChunk = 64 << 10;
+  for (auto _ : state) {
+    core::HmacSha256 mac(key);
+    for (std::size_t at = 0; at < data.size(); at += kChunk) {
+      mac.update(data.data() + at, std::min(kChunk, data.size() - at));
+    }
+    const core::Digest digest = mac.finish();
+    benchmark::DoNotOptimize(digest[0]);
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_HmacSha256Stream)->Arg(kBertBytes);
 
 void BM_SealOpen(benchmark::State& state) {
   const std::vector<std::uint8_t> key(32, 0x7);
@@ -70,7 +105,7 @@ void BM_SealOpen(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_SealOpen)->Arg(1024)->Arg(5 << 20);
+BENCHMARK(BM_SealOpen)->Arg(1024)->Arg(5 << 20)->Arg(kBertBytes);
 
 void BM_FedAvgRound(benchmark::State& state) {
   core::LogConfig::instance().set_threshold(core::LogLevel::kOff);

@@ -33,11 +33,15 @@ void BM_GemmNN(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 2 * 512 * 128 * n);
 }
+// Every thread-sweeping bench rates by wall time: helper threads do part
+// of the work, so the calling thread's CPU time alone would overstate the
+// threaded rows (and put the 1-thread rows on a different clock).
 BENCHMARK(BM_GemmNN)
     ->Args({128, 1})
     ->Args({512, 1})
     ->Args({512, 2})
-    ->Args({512, 4});
+    ->Args({512, 4})
+    ->UseRealTime();
 
 void BM_GemmNT(benchmark::State& state) {
   set_threads_from_arg(state);
@@ -55,7 +59,8 @@ BENCHMARK(BM_GemmNT)
     ->Args({128, 1})
     ->Args({512, 1})
     ->Args({512, 2})
-    ->Args({512, 4});
+    ->Args({512, 4})
+    ->UseRealTime();
 
 void BM_GemmTN(benchmark::State& state) {
   set_threads_from_arg(state);
@@ -73,7 +78,8 @@ BENCHMARK(BM_GemmTN)
     ->Args({128, 1})
     ->Args({512, 1})
     ->Args({512, 2})
-    ->Args({512, 4});
+    ->Args({512, 4})
+    ->UseRealTime();
 
 void BM_SoftmaxLastdim(benchmark::State& state) {
   core::Rng rng(1);
@@ -112,7 +118,7 @@ void BM_AttentionForward(benchmark::State& state) {
     benchmark::DoNotOptimize(y.data());
   }
 }
-BENCHMARK(BM_AttentionForward)->Arg(1)->Arg(4);
+BENCHMARK(BM_AttentionForward)->Arg(1)->Arg(4)->UseRealTime();
 
 void BM_LstmForward(benchmark::State& state) {
   core::set_compute_threads(static_cast<std::size_t>(state.range(0)));
@@ -127,7 +133,7 @@ void BM_LstmForward(benchmark::State& state) {
     benchmark::DoNotOptimize(y.data());
   }
 }
-BENCHMARK(BM_LstmForward)->Arg(1)->Arg(4);
+BENCHMARK(BM_LstmForward)->Arg(1)->Arg(4)->UseRealTime();
 
 void BM_EmbeddingLookup(benchmark::State& state) {
   core::Rng rng(7);
@@ -178,6 +184,6 @@ void BM_BertMiniTrainStep(benchmark::State& state) {
     benchmark::DoNotOptimize(loss.item());
   }
 }
-BENCHMARK(BM_BertMiniTrainStep)->Arg(1)->Arg(4);
+BENCHMARK(BM_BertMiniTrainStep)->Arg(1)->Arg(4)->UseRealTime();
 
 }  // namespace

@@ -7,7 +7,12 @@
 #       GEMM benches carry the thread budget as their second argument
 #       (e.g. BM_GemmNN/512/4 = N=512 at 4 compute threads), so one run
 #       captures the 1..4-thread scaling curve: items_per_second is the
-#       ops/s figure, real_time the wall time per iteration.
+#       ops/s figure over wall time (thread sweeps use UseRealTime),
+#       real_time the wall time per iteration.
+#   BENCH_flare.json — google-benchmark output of bench_micro_flare: DXO
+#       (de)serialization, SHA-256 (the dispatched compressor and the scalar
+#       one) at 1 KB/1 MB/9.9 MB, streaming HMAC and envelope seal+open at
+#       BERT size (9,888,328 bytes), FedAvg rounds and TCP round trips.
 #   BENCH_models.json — bench_table2_models latencies per model plus the
 #       effective thread budget and total wall seconds.
 #   BENCH_faults.json — bench_faults rounds/s of an 8-site TCP federation
@@ -54,11 +59,17 @@ step() { echo; echo "==== $* ===="; }
 step "release: build benches"
 cmake --preset release
 cmake --build --preset release -j "${JOBS}" \
-  --target bench_micro_tensor bench_table2_models bench_faults bench_crash bench_jobs bench_privacy bench_poison bench_trace bench_scale
+  --target bench_micro_tensor bench_micro_flare bench_table2_models bench_faults bench_crash bench_jobs bench_privacy bench_poison bench_trace bench_scale
 
 step "tensor microbenchmarks -> BENCH_tensor.json"
 ./build-release/bench/bench_micro_tensor \
   --benchmark_out="${REPO_ROOT}/BENCH_tensor.json" \
+  --benchmark_out_format=json \
+  --benchmark_min_time=0.2
+
+step "channel + framework microbenchmarks -> BENCH_flare.json"
+./build-release/bench/bench_micro_flare \
+  --benchmark_out="${REPO_ROOT}/BENCH_flare.json" \
   --benchmark_out_format=json \
   --benchmark_min_time=0.2
 
@@ -87,4 +98,4 @@ step "coordinator scaling -> BENCH_scale.json"
 ./build-release/bench/bench_scale --json "${REPO_ROOT}/BENCH_scale.json"
 
 step "bench complete"
-echo "wrote BENCH_tensor.json, BENCH_models.json, BENCH_faults.json, BENCH_crash.json, BENCH_jobs.json, BENCH_privacy.json, BENCH_robust.json, BENCH_obs.json and BENCH_scale.json"
+echo "wrote BENCH_tensor.json, BENCH_flare.json, BENCH_models.json, BENCH_faults.json, BENCH_crash.json, BENCH_jobs.json, BENCH_privacy.json, BENCH_robust.json, BENCH_obs.json and BENCH_scale.json"

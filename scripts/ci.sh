@@ -66,10 +66,12 @@ step "tsan: build + threaded/stress ctest"
 cmake --preset tsan
 cmake --build --preset tsan -j "${JOBS}"
 # The threaded surface: the stress suite plus every test that spins up the
-# pool, the TCP transport, or a federation. TSAN_OPTIONS from the test
+# pool, the TCP transport, or a federation — and the two hashing suites, so
+# the SHA-NI compressor's target attribute is built and run at -O1 without
+# -march here as well as under ASan/UBSan above. TSAN_OPTIONS from the test
 # preset already points at scripts/tsan.supp; export too for direct runs.
 export TSAN_OPTIONS="suppressions=${REPO_ROOT}/scripts/tsan.supp:history_size=7"
 ctest --preset tsan -j "${JOBS}" -R \
-  '^(stress_concurrency_test|parallel_test|thread_pool_test|tcp_test|simulator_test|server_client_test|integration_fl_test|cross_site_test|faults_test|secure_recovery_test|poison_test|trace_test|scale_test|journal_test|crash_recovery_test|jobs_test)$'
+  '^(sha256_test|secure_channel_test|stress_concurrency_test|parallel_test|thread_pool_test|tcp_test|simulator_test|server_client_test|integration_fl_test|cross_site_test|faults_test|secure_recovery_test|poison_test|trace_test|scale_test|journal_test|crash_recovery_test|jobs_test)$'
 
 step "ci pass complete"

@@ -2,7 +2,7 @@
 # Repo lint entry point — a thin wrapper over the cflint analyzer
 # (tools/cflint), which replaced the grep pipeline that used to live here.
 # cflint lexes each file (comment/string/raw-string aware) and runs the
-# scope-aware rules R1-R11; see DESIGN.md §12 for the catalog and rationale.
+# scope-aware rules R1-R15; see DESIGN.md §12 for the catalog and rationale.
 #
 # Usage:
 #   scripts/lint.sh                 lint the repository (exit 0 = clean)

@@ -37,6 +37,9 @@ class ByteWriter {
   /// Raw bytes, no length prefix.
   void write_raw(const std::uint8_t* data, std::size_t n);
 
+  /// Pre-sizes the buffer for writers that know their final length.
+  void reserve(std::size_t n) { buf_.reserve(n); }
+
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
   std::vector<std::uint8_t> take() { return std::move(buf_); }
   std::size_t size() const { return buf_.size(); }

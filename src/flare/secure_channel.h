@@ -38,8 +38,9 @@ std::vector<std::uint8_t> seal(const std::string& sender,
                                const std::string& job_id = {});
 
 /// Parses and verifies an envelope against `secret`. Throws ProtocolError on
-/// malformed input or MAC mismatch. Does NOT check the sequence; callers
-/// with per-sender state use `SequenceTracker`.
+/// malformed input or MAC mismatch. The MAC is checked over `sealed` in
+/// place; the payload is copied out only once it verified. Does NOT check
+/// the sequence; callers with per-sender state use `SequenceTracker`.
 Envelope open(const std::vector<std::uint8_t>& sealed,
               const std::vector<std::uint8_t>& secret);
 

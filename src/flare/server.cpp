@@ -492,7 +492,11 @@ void FederatedServer::drain_ready_replies() {
   }
   for (ReadyReply& reply : ready) {
     try {
-      reply.respond(seal_as_server(reply.sender, reply.key, reply.body));
+      // Free each body once sealed: a round opening for N parked sites
+      // stages N bodies, and keeping them until the loop ends doubles the
+      // batch's footprint while the sealed copies wait to be consumed.
+      const std::vector<std::uint8_t> body = std::move(reply.body);
+      reply.respond(seal_as_server(reply.sender, reply.key, body));
     } catch (const std::exception& e) {
       LOG_AS(kSag, warn)
           .msg("Dropping undeliverable parked reply")

@@ -1,5 +1,5 @@
 // Drives the cflint binary (tools/cflint) over the committed fixture trees:
-// every rule R1-R14 must fire at its planted violation, the exempt-annotated
+// every rule R1-R15 must fire at its planted violation, the exempt-annotated
 // clean tree must come back spotless, and the hermetic --self-test must
 // pass. CFLINT_BINARY and CFLINT_FIXTURES are injected by the build (see
 // tests/CMakeLists.txt), so the test exercises the exact binary a plain
@@ -69,6 +69,7 @@ TEST(CflintTest, EveryRuleFiresOnViolationTree) {
       // src/flare/journal.cpp inside the tree.
       {"\"R13\"", "journal.cpp"},
       {"\"R14\"", "server_construction_violation.cpp"},
+      {"\"R15\"", "simd_violation.cpp"},
   };
   for (const auto& e : expected) {
     // The finding's rule and file land in the same JSON object; with one

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "core/bytes.h"
 #include "core/error.h"
+#include "core/sha256.h"
 
 namespace cppflare::flare {
 namespace {
@@ -66,6 +68,50 @@ TEST(SecureChannel, TrailingBytesRejected) {
   auto sealed = seal("s", key_a(), 1, {7});
   sealed.push_back(0);
   EXPECT_THROW(open(sealed, key_a()), ProtocolError);
+}
+
+TEST(SecureChannel, TamperedMacDetected) {
+  auto sealed = seal("site-1", key_a(), 1, {1, 2, 3, 4});
+  sealed.back() ^= 0x01;  // last byte of the trailing MAC
+  EXPECT_THROW(open(sealed, key_a()), ProtocolError);
+}
+
+TEST(SecureChannel, ShortFrameDeclaringHugePayloadRejected) {
+  // A header that claims 64 MiB followed by a few bytes: rejected by the
+  // length check before the MAC runs or any payload buffer is sized.
+  core::ByteWriter w;
+  w.write_u32(0x46454e56);  // "FENV"
+  w.write_string("site-1");
+  w.write_string("job-a");
+  w.write_u64(1);
+  w.write_u64(std::uint64_t{64} << 20);
+  const std::vector<std::uint8_t> tail(40, 0xee);
+  w.write_raw(tail.data(), tail.size());
+  EXPECT_THROW(open(w.bytes(), key_a()), ProtocolError);
+}
+
+TEST(SecureChannel, WireBytesArePinned) {
+  // SHA-256 of this exact v1 frame, recorded before the HMAC was made to
+  // stream over the frame in place: any change to the wire shows here.
+  std::vector<std::uint8_t> key(32);
+  for (std::size_t i = 0; i < key.size(); ++i) {
+    key[i] = static_cast<std::uint8_t>(0xa0 + i);
+  }
+  std::vector<std::uint8_t> payload(1024);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<std::uint8_t>((i * 31 + 7) & 0xff);
+  }
+  const auto sealed = seal("site-3", key, 42, payload, "job-golden");
+  ASSERT_EQ(sealed.size(), 1100u);
+  EXPECT_EQ(core::to_hex(core::Sha256::hash(sealed.data(), sealed.size())),
+            "44972fcae633e2782df8835dbc6a3bdebfbba9ec38ebdfc8ba608d32649244bd");
+  const auto unbound = seal("site-3", key, 42, payload);
+  EXPECT_EQ(core::to_hex(core::Sha256::hash(unbound.data(), unbound.size())),
+            "8a99b3e56027fc69cead27f5fc438c74746604db1f162a02a8524dfcbcf7ad9b");
+  const Envelope env = open(sealed, key);
+  EXPECT_EQ(env.job_id, "job-golden");
+  EXPECT_EQ(env.sequence, 42u);
+  EXPECT_EQ(env.payload, payload);
 }
 
 TEST(SecureChannel, PeekSenderWithoutKey) {

@@ -104,6 +104,7 @@ class RuleRunner {
     r12_secure_agg_containment();
     r13_durable_writes_only();
     r14_server_via_job_runner();
+    r15_isa_code_confined();
   }
 
  private:
@@ -643,6 +644,43 @@ class RuleRunner {
     }
   }
 
+  // R15: ISA-specific code — the intrinsics and cpuid headers and
+  // per-function target attributes — lives only in src/core/sha256.cpp,
+  // behind its one-time cpuid dispatch. Anywhere else an instruction the
+  // CPU may lack would run unguarded (SIGILL on an older host), or would
+  // need a global -m flag that ties the whole binary to one CPU family.
+  void r15_isa_code_confined() {
+    if (path_ == "src/core/sha256.cpp") return;
+    static const std::array<const char*, 3> kHeaders = {
+        "<immintrin.h>", "<x86intrin.h>", "<cpuid.h>"};
+    for (std::size_t i = 0; i < toks_.size(); ++i) {
+      const Token& t = toks_[i];
+      if (t.kind == TokKind::kPreproc) {
+        if (!contains(t.text, "include")) continue;
+        for (const char* header : kHeaders) {
+          if (!contains(t.text, header)) continue;
+          flag(15, t, std::string("#include ") + header +
+                          " outside src/core/sha256.cpp; ISA-specific code "
+                          "stays behind that unit's runtime cpuid dispatch");
+        }
+        continue;
+      }
+      // __attribute__((target(...))) and its [[gnu::target(...)]] spelling.
+      const bool gnu_attr = is_ident(t, "__attribute__") && i + 3 < toks_.size() &&
+                            is_punct(toks_[i + 1], "(") &&
+                            is_punct(toks_[i + 2], "(") &&
+                            is_ident(toks_[i + 3], "target");
+      const bool std_attr = is_ident(t, "gnu") && i + 2 < toks_.size() &&
+                            is_punct(toks_[i + 1], "::") &&
+                            is_ident(toks_[i + 2], "target");
+      if (gnu_attr || std_attr) {
+        flag(15, t, "target attribute outside src/core/sha256.cpp; "
+                    "ISA-specific code stays behind that unit's runtime "
+                    "cpuid dispatch");
+      }
+    }
+  }
+
   const std::string& path_;
   const std::vector<Token>& toks_;
   const std::map<int, std::set<int>>& exemptions_;
@@ -710,6 +748,8 @@ const char* rule_summary(int rule) {
                     "(durable_write / Wal), never raw streams";
     case 14: return "FederatedServer is constructed only by the JobRunner "
                     "registry (src/flare/jobs.*)";
+    case 15: return "intrinsics/cpuid headers and target attributes only in "
+                    "src/core/sha256.cpp, behind its runtime dispatch";
     default: return "";
   }
 }

@@ -256,6 +256,30 @@ const std::vector<Case>& cases() {
        "// R14-exempt: fixture proves the exemption path\n"
        "void f() { FederatedServer server(cfg, reg, model, agg); }\n",
        {}},
+
+      {"R15 ISA-specific code outside the dispatch unit", "src/tensor/simd.cpp",
+       "// #include <immintrin.h> in a comment is fine\n"
+       "const char* s = \"__attribute__((target(\\\"avx2\\\")))\";\n"
+       "#include <immintrin.h>\n"
+       "#include <x86intrin.h>\n"
+       "#include <cpuid.h>\n"
+       "__attribute__((target(\"avx2\"))) void f() {}\n"
+       "[[gnu::target(\"sha\")]] void g() {}\n",
+       {{15, 3}, {15, 4}, {15, 5}, {15, 6}, {15, 7}}},
+      {"R15 other attributes and names stay legal", "src/tensor/ok_simd.cpp",
+       "#include <cstdint>\n"
+       "__attribute__((always_inline)) inline int f(int target) { return target; }\n"
+       "[[gnu::always_inline]] inline void g() {}\n",
+       {}},
+      {"R15 dispatch unit allowed", "src/core/sha256.cpp",
+       "#include <cpuid.h>\n"
+       "#include <immintrin.h>\n"
+       "__attribute__((target(\"sha,sse4.1,ssse3\"))) void f() {}\n",
+       {}},
+      {"R15 exempt", "src/core/exempt_simd.cpp",
+       "// R15-exempt: fixture proves the exemption path\n"
+       "#include <immintrin.h>\n",
+       {}},
   };
   return kCases;
 }
